@@ -18,7 +18,7 @@ import pytest
 
 from repro.baselines import Atomizer, EmptyAnalysis, EraserLockSet
 from repro.core import VelodromeOptimized
-from repro.runtime.instrument import BlockFilter
+from repro.pipeline import BlockFilter
 from repro.runtime.scheduler import RandomScheduler
 from repro.runtime.tool import run_uninstrumented, run_with_backends
 from repro.workloads import names, get

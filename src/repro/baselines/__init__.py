@@ -6,7 +6,7 @@ from repro.baselines.empty import EmptyAnalysis
 from repro.baselines.eraser import EraserLockSet, VarState
 from repro.baselines.lockorder import LockOrderGraph, LockOrderMonitor
 from repro.baselines.twophase import TwoPhaseLocking
-from repro.baselines.vectorclock import HappensBeforeRaces, VectorClock
+from repro.baselines.vectorclock import HappensBeforeRaces
 
 __all__ = [
     "Atomizer",
@@ -18,5 +18,4 @@ __all__ = [
     "LockOrderMonitor",
     "TwoPhaseLocking",
     "VarState",
-    "VectorClock",
 ]

@@ -22,10 +22,7 @@ from repro.core.clocks import VectorClock
 from repro.core.reports import race_warning
 from repro.events.operations import Operation, OpKind
 
-# ``VectorClock`` historically lived here; it moved to
-# ``repro.core.clocks`` when the AeroDrome backend became a second
-# consumer.  Re-exported for existing imports.
-__all__ = ["HappensBeforeRaces", "VectorClock"]
+__all__ = ["HappensBeforeRaces"]
 
 
 @dataclass

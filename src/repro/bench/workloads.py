@@ -6,28 +6,25 @@ recorded trace through the graph (Velodrome) and vector-clock
 peak graph nodes — plus the whole-matrix wall time serial vs
 ``--jobs 2`` (the parallel-driver sanity number).  Every cell's
 verdict is gated against the workload's declared ground truth before
-a single number is reported, exactly like ``repro lab run``.
+a single number is reported, exactly like ``repro lab run``; a
+mismatch exits 2.
 
-The committed reference lives at
-``benchmarks/baseline/BENCH_workloads.json``; ``--check-against`` it
-in CI with a generous threshold (shared runners are noisy) so
-order-of-magnitude throughput regressions fail the build.  Baseline
-keys are ``workload@point``, so the report shape is compatible with
-:func:`repro.core.bench.compare_to_baseline`.
+The events/sec figures are drift-gated at a generous 60% against
+``benchmarks/baseline/BENCH_workloads.json`` (the ``smoke`` traces
+take milliseconds, so shared runners are noisy) so that
+order-of-magnitude throughput regressions fail the build.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.core.bench import compare_to_baseline
+from repro.bench.harness import Lane
 from repro.experiments.runner import (
     GroundTruthMismatch,
     check_cell,
@@ -40,23 +37,20 @@ from repro.workloads.server import SERVER_FAMILIES
 #: The two backend families the sweep compares head-to-head.
 SWEEP_BACKENDS = ("velodrome", "aerodrome")
 
-_DEFAULT_POINTS = ("smoke", "small")
+#: Fixed recording seed, so every run sees the baseline's traces.
+_RECORD_SEED = 0
 
 
-def measure_workloads(
-    points: Sequence[str] = _DEFAULT_POINTS,
-    repeats: int = 3,
-    seed: int = 0,
-) -> dict:
+def measure_workloads(points: Sequence[str], repeats: int) -> dict:
     """The sweep report; raises on any ground-truth mismatch."""
     scratch = Path(tempfile.mkdtemp(prefix="repro-bench-workloads-"))
     try:
-        recorded = []
-        for name, family in SERVER_FAMILIES.items():
-            for point in points:
-                recorded.append(
-                    (family, point, record_trace(family, point, seed, scratch))
-                )
+        recorded = [
+            (family, point,
+             record_trace(family, point, _RECORD_SEED, scratch))
+            for family in SERVER_FAMILIES.values()
+            for point in points
+        ]
         tasks = [
             LabCellTask(
                 workload=family.name,
@@ -106,7 +100,7 @@ def measure_workloads(
             "config": {
                 "points": list(points),
                 "repeats": repeats,
-                "seed": seed,
+                "seed": _RECORD_SEED,
             },
             "workloads": workloads,
             "matrix": {
@@ -124,6 +118,16 @@ def recorded_cells(recorded):
     for family, point, entry in recorded:
         for _ in SWEEP_BACKENDS:
             yield family, point, entry
+
+
+def run_bench(quick: bool = False) -> dict:
+    """The sweep at ``smoke`` (quick) or ``smoke`` and ``small``."""
+    points = ("smoke",) if quick else ("smoke", "small")
+    try:
+        return measure_workloads(points, repeats=2 if quick else 3)
+    except GroundTruthMismatch as exc:
+        print(f"bench workloads: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def render(report: dict) -> str:
@@ -153,59 +157,12 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="smoke point only, 2 repeats (the CI shape)")
-    parser.add_argument("--points", default=None,
-                        help="comma-separated scale points to sweep")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repeats per cell (best-of)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="recording scheduler seed")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write the report JSON here")
-    parser.add_argument("--check-against", type=Path, default=None,
-                        help="compare against a baseline report")
-    parser.add_argument("--threshold", type=float, default=0.60,
-                        help="allowed events/sec drop vs baseline "
-                             "(default 0.60 — shared runners are noisy)")
-    args = parser.parse_args(argv)
-
-    if args.points is not None:
-        points = tuple(
-            p.strip() for p in args.points.split(",") if p.strip()
-        )
-    else:
-        points = ("smoke",) if args.quick else _DEFAULT_POINTS
-    repeats = args.repeats if args.repeats is not None else (
-        2 if args.quick else 3
-    )
-
-    try:
-        report = measure_workloads(points, repeats=repeats, seed=args.seed)
-    except GroundTruthMismatch as exc:
-        print(f"bench workloads: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    print(render(report))
-
-    if args.output is not None:
-        args.output.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report -> {args.output}")
-    if args.check_against is not None:
-        baseline = json.loads(args.check_against.read_text())
-        regressions = compare_to_baseline(
-            report, baseline, threshold=args.threshold
-        )
-        if regressions:
-            print("REGRESSIONS vs baseline:", file=sys.stderr)
-            for line in regressions:
-                print(f"  {line}", file=sys.stderr)
-            raise SystemExit(1)
-        print(f"no regressions vs {args.check_against}")
-
-
-if __name__ == "__main__":
-    main()
+LANE = Lane(
+    name="workloads",
+    measure=run_bench,
+    gated=tuple(
+        f"workloads.*.{backend}.events_per_sec" for backend in SWEEP_BACKENDS
+    ),
+    threshold=0.60,
+    render=render,
+)

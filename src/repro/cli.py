@@ -99,7 +99,6 @@ from repro.harness import report as harness_report
 from repro.harness import sensitivity as harness_sensitivity
 from repro.harness import table1 as harness_table1
 from repro.harness import table2 as harness_table2
-from repro.parallel import bench as parallel_bench
 from repro.pipeline import Pipeline, TraceSource
 from repro.resilience import (
     EXIT_INTERRUPTED,
@@ -1081,15 +1080,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="measure serial and --jobs throughput (writes "
-             "BENCH_parallel.json); 'bench store' measures the packed "
-             "trace store (writes BENCH_store.json); 'bench backends' "
-             "races the graph vs vector-clock checkers (writes "
-             "BENCH_backends.json); 'bench memo' races region "
-             "memoization on vs off (writes BENCH_memo.json)",
+        help="measurement lanes (backends, memo, store, analyze, "
+             "parallel, workloads): each writes BENCH_<lane>.json and "
+             "gates its floors and, with --check-against DIR, drift "
+             "against the committed baselines",
         add_help=False,
     )
-    bench.set_defaults(func=None, harness_main=parallel_bench.main)
+    bench.set_defaults(func=None, harness_main=_bench_main)
 
     lab = commands.add_parser(
         "lab",
@@ -1101,6 +1098,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lab.set_defaults(func=None, harness_main=_lab_main)
     return parser
+
+
+def _bench_main(argv):
+    # Imported lazily, like the lab: the lanes pull in every subsystem
+    # they measure.
+    from repro.bench import main as bench_main
+
+    bench_main(argv)
 
 
 def _lab_main(argv):

@@ -213,8 +213,8 @@ class LiveSource:
         self.interpreter_options = interpreter_options
 
     def run(self, sink: EventSink) -> SourceResult:
-        # Imported here: repro.runtime imports repro.pipeline for its
-        # compatibility shims, so the reverse import must be deferred.
+        # Imported here: repro.runtime's tool facade imports
+        # repro.pipeline, so the reverse import must be deferred.
         from repro.runtime.interpreter import Interpreter
 
         interpreter = Interpreter(

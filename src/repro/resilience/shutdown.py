@@ -21,7 +21,7 @@ check inside a test harness) behaves.
 from __future__ import annotations
 
 import signal
-import threading
+import time
 from typing import Optional
 
 #: Exit status of a command stopped by SIGTERM/SIGINT after a clean
@@ -33,6 +33,10 @@ EXIT_INTERRUPTED = 75
 
 #: Signals a graceful shutdown responds to.
 SHUTDOWN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+#: Longest single sleep inside :meth:`GracefulShutdown.wait`: a signal
+#: that lands mid-sleep is noticed within this long.
+WAIT_SLICE = 0.05
 
 
 class ShutdownRequested(Exception):
@@ -60,7 +64,7 @@ class GracefulShutdown:
     """
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._triggered = False
         self.signum: Optional[int] = None
         self._previous: dict[int, object] = {}
 
@@ -76,23 +80,36 @@ class GracefulShutdown:
         self._previous.clear()
 
     def _handle(self, signum, _frame) -> None:
-        # Only latch; all real work happens at the caller's safe point.
+        # Only latch, taking no lock: the handler runs on the main
+        # thread between two bytecodes, possibly while that thread
+        # holds the very lock the handler would take (a
+        # threading.Event here once deadlocked the daemon that way).
         self.signum = signum
-        self._event.set()
+        self._triggered = True
 
     # ---------------------------------------------------------------- status
     @property
     def triggered(self) -> bool:
-        return self._event.is_set()
+        return self._triggered
 
     def check(self) -> None:
         """Raise :class:`ShutdownRequested` if a signal has arrived."""
-        if self._event.is_set():
+        if self._triggered:
             raise ShutdownRequested(self.signum or 0)
 
     def wait(self, timeout: float) -> bool:
-        """Sleep up to ``timeout`` seconds, waking early on a signal."""
-        return self._event.wait(timeout)
+        """Sleep up to ``timeout`` seconds, waking early on a signal.
+
+        Returns whether shutdown was requested.  Sleeps in slices of
+        at most :data:`WAIT_SLICE` and checks the latch between them.
+        """
+        deadline = time.monotonic() + timeout
+        while not self._triggered:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            time.sleep(min(remaining, WAIT_SLICE))
+        return True
 
     def request(self, signum: int = signal.SIGTERM) -> None:
         """Trigger programmatically (tests, in-process embedding)."""

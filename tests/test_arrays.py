@@ -13,7 +13,7 @@ models the program.
 import pytest
 
 from repro.core import VelodromeOptimized, is_serializable
-from repro.runtime.instrument import EventPipeline
+from repro.pipeline import Pipeline
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.program import (
     Begin,
@@ -41,7 +41,7 @@ def run_grid(indices, granularity, seed):
         "grid", [ThreadSpec(bump_element(index)) for index in indices]
     )
     backend = VelodromeOptimized(first_warning_per_label=True)
-    pipeline = EventPipeline([backend])
+    pipeline = Pipeline([backend])
     interpreter = Interpreter(
         program,
         scheduler=RandomScheduler(seed),

@@ -16,7 +16,6 @@ The load-bearing properties:
 import pytest
 
 from repro.core.aerodrome import AeroDrome
-from repro.core.bench_memo import check_gates, compare_to_baseline
 from repro.core.compact import VelodromeCompact
 from repro.core.memo import (
     DEFAULT_MEMO_MAX,
@@ -563,53 +562,3 @@ class TestScanRegions:
         assert scan.regions == 0
         assert scan.repetition_ratio == 0.0
         assert scan.region_event_ratio == 0.0
-
-
-# ------------------------------------------------------------ bench plumbing
-def bench_report(speedup, overhead):
-    return {
-        "lanes": {
-            "high_repetition": {
-                "speedup": speedup,
-                "off": {"events_per_sec": 500_000.0},
-                "on": {"events_per_sec": 500_000.0 * speedup},
-            },
-            "low_repetition": {
-                "overhead": overhead,
-                "off": {"events_per_sec": 400_000.0},
-                "on": {"events_per_sec": 400_000.0 / (1 + overhead)},
-            },
-        }
-    }
-
-
-class TestBenchGates:
-    def test_gates_pass(self):
-        assert check_gates(
-            bench_report(2.5, 0.05), min_speedup=2.0, max_overhead=0.10
-        ) == []
-
-    def test_speedup_gate_fails(self):
-        failures = check_gates(
-            bench_report(1.4, 0.05), min_speedup=2.0, max_overhead=0.10
-        )
-        assert len(failures) == 1 and "high_repetition" in failures[0]
-
-    def test_overhead_gate_fails(self):
-        failures = check_gates(
-            bench_report(2.5, 0.25), min_speedup=2.0, max_overhead=0.10
-        )
-        assert len(failures) == 1 and "low_repetition" in failures[0]
-
-    def test_baseline_regression_detected(self):
-        current, baseline = bench_report(2.5, 0.05), bench_report(2.5, 0.05)
-        current["lanes"]["high_repetition"]["on"]["events_per_sec"] = 100.0
-        regressions = compare_to_baseline(current, baseline, threshold=0.30)
-        assert len(regressions) == 1 and "high_repetition.on" in regressions[0]
-
-    def test_faster_than_baseline_is_fine(self):
-        current, baseline = bench_report(3.5, 0.01), bench_report(2.0, 0.09)
-        assert compare_to_baseline(current, baseline) == []
-
-    def test_missing_lanes_are_skipped(self):
-        assert compare_to_baseline(bench_report(2.5, 0.05), {}) == []

@@ -3,8 +3,8 @@
 Covers the executor contract (submission-order merge, in-task failure
 containment, dead-worker containment, timeout containment), the
 byte-identical-output property of every ``--jobs`` entry point (fuzz
-across the full 22-config ablation grid, Table 2, corpus replay), the
-per-shard seed discipline, and the bench harness's regression gate.
+across the full 22-config ablation grid, Table 2, corpus replay), and
+the per-shard seed discipline.
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.fuzz.engine import (
 )
 from repro.fuzz.grid import ablation_grid, default_grid, grid_by_names, grid_names
 from repro.parallel import ShardError, ShardResult, run_shards
-from repro.parallel.bench import compare_to_baseline
 from repro.parallel.executor import require_all
 
 JOBS = 4
@@ -259,36 +258,3 @@ class TestGridShipping:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             grid_by_names(("definitely-not-a-config",))
-
-
-# ---------------------------------------------------------------------------
-# The bench regression gate.
-
-class TestBenchGate:
-    def _report(self, rate):
-        return {
-            "stages": {"analyze": {"events_per_sec": rate}},
-            "fuzz": {"serial": {"events_per_sec": rate}},
-        }
-
-    def test_no_regression_within_threshold(self):
-        assert not compare_to_baseline(
-            self._report(80.0), self._report(100.0), threshold=0.30
-        )
-
-    def test_regression_beyond_threshold_reported(self):
-        regressions = compare_to_baseline(
-            self._report(60.0), self._report(100.0), threshold=0.30
-        )
-        assert len(regressions) == 2
-        assert "stages.analyze" in regressions[0]
-
-    def test_faster_is_never_a_regression(self):
-        assert not compare_to_baseline(
-            self._report(500.0), self._report(100.0), threshold=0.30
-        )
-
-    def test_missing_keys_are_skipped(self):
-        assert not compare_to_baseline(
-            self._report(10.0), {"stages": {}, "fuzz": {}}, threshold=0.30
-        )

@@ -17,6 +17,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -24,17 +25,21 @@ import pytest
 from repro.events.serialize import dump_jsonl
 from repro.fuzz import trace_for_seed
 from repro.fuzz.faults import serve_crash_divergences
-from repro.resilience import EXIT_INTERRUPTED
+from repro.resilience import EXIT_INTERRUPTED, GracefulShutdown
 
 
-def spawn(*argv, cwd=None):
+def child_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def spawn(*argv, cwd=None):
     return subprocess.Popen(
         [sys.executable, "-m", "repro", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        cwd=cwd, env=env,
+        cwd=cwd, env=child_env(),
     )
 
 
@@ -45,6 +50,52 @@ def wait_for(predicate, timeout=20.0, interval=0.02):
             return True
         time.sleep(interval)
     return False
+
+
+#: Thousands of tight ``wait()`` calls, each ended by a SIGTERM that a
+#: helper thread sends at a random moment.  A handler that takes a lock
+#: ``wait()`` can hold (``threading.Event.set``) deadlocks this script
+#: within seconds.
+SIGTERM_STRESS = """
+import os, random, signal, sys, threading, time
+from repro.resilience import GracefulShutdown
+
+rng = random.Random(0)
+pid = os.getpid()
+for trial in range(int(sys.argv[1])):
+    timeout = 1e-4 if trial % 2 else 0.0
+    delay = rng.random() * 0.001
+    with GracefulShutdown() as latch:
+        sender = threading.Thread(target=lambda: (
+            time.sleep(delay), os.kill(pid, signal.SIGTERM)))
+        sender.start()
+        while not latch.wait(timeout):
+            pass
+        sender.join()
+        assert latch.signum == signal.SIGTERM
+print("ok")
+"""
+
+
+class TestShutdownLatch:
+    def test_sigterm_during_tight_waits_never_hangs(self):
+        result = subprocess.run(
+            [sys.executable, "-c", SIGTERM_STRESS, "3000"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
+    def test_request_from_another_thread_wakes_wait(self):
+        latch = GracefulShutdown()
+        threading.Timer(0.05, latch.request).start()
+        started = time.monotonic()
+        assert latch.wait(30.0)
+        assert time.monotonic() - started < 10.0
+        assert latch.triggered and latch.signum == signal.SIGTERM
+
+    def test_wait_times_out_without_a_request(self):
+        assert not GracefulShutdown().wait(0.02)
 
 
 class TestGracefulSigterm:
