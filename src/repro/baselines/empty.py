@@ -26,7 +26,3 @@ class EmptyAnalysis(AnalysisBackend):
     def _process(self, op: Operation, position: int) -> None:
         pass
 
-    def apply_block_summary(self, summary) -> bool:
-        # Counting events needs no decode: every block fast-forwards.
-        self.events_processed += summary.op_count
-        return True

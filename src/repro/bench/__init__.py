@@ -18,7 +18,6 @@ Lanes (one module each, declaring a :class:`~repro.bench.harness.Lane`):
 * ``backends`` — graph vs vector-clock checker on the paper lineup;
 * ``memo`` — region memoization on vs off;
 * ``store`` — packed VTRC vs JSONL size, encode, decode, seek;
-* ``analyze`` — block-summary fast-forward on vs off;
 * ``parallel`` — per-stage throughput and serial vs ``--jobs 2`` fuzz;
 * ``workloads`` — the server-suite scaling sweep, ground-truth gated.
 """
@@ -31,12 +30,12 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.bench import analyze, backends, memo, parallel, store, workloads
+from repro.bench import backends, memo, parallel, store, workloads
 from repro.bench.harness import Lane, check_drift
 
 LANES: dict[str, Lane] = {
     module.LANE.name: module.LANE
-    for module in (backends, memo, store, analyze, parallel, workloads)
+    for module in (backends, memo, store, parallel, workloads)
 }
 
 

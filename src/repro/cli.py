@@ -100,6 +100,7 @@ from repro.harness import sensitivity as harness_sensitivity
 from repro.harness import table1 as harness_table1
 from repro.harness import table2 as harness_table2
 from repro.pipeline import Pipeline, TraceSource
+from repro.pipeline.source import PackedTraceSource
 from repro.resilience import (
     EXIT_INTERRUPTED,
     Budgets,
@@ -294,8 +295,6 @@ def _check_supervised_body(
         stop_check=shutdown.check,
         memo=_region_memo(args),
     )
-    fast_forward = packed and not args.no_fast_forward
-    packed_reader = None
     checker = None
     try:
         if args.resume:
@@ -305,42 +304,26 @@ def _check_supervised_body(
             })
             print(f"resumed {len(checker.backends)} backend(s) at event "
                   f"{checker.position} from {args.resume}")
-            if fast_forward:
-                # Block-granular seek: the checkpoint's block is
-                # replayed from its first op, later blocks may
-                # fast-forward from their summaries.
-                from repro.pipeline.source import PackedTraceSource
-
-                checker.run(PackedTraceSource(
-                    args.trace, start_seq=checker.position
-                ))
+            if packed:
+                # Seek via the block index: only the block containing
+                # the checkpoint position and its successors are read.
+                source = PackedTraceSource(
+                    args.trace, start_seq=checker.position, jobs=args.jobs
+                )
             else:
-                if packed:
-                    # Seek via the block index: only the block
-                    # containing the checkpoint position and its
-                    # successors are read.
-                    from repro.store.reader import PackedTraceReader
-
-                    packed_reader = PackedTraceReader(args.trace)
-                    remaining = packed_reader.seek(checker.position)
-                else:
-                    remaining = _stream_trace_tail(
-                        args.trace, checker.position
-                    )
-                checker.run(TraceSource(remaining))
+                source = TraceSource(
+                    _stream_trace_tail(args.trace, checker.position)
+                )
         else:
             names = _selected_backends(args.backend)
             checker = SupervisedChecker(
                 [resolve_backend(name)() for name in names], **options
             )
-            if fast_forward:
-                from repro.pipeline.source import PackedTraceSource
-
-                checker.run(PackedTraceSource(args.trace, jobs=args.jobs))
+            if packed:
+                source = PackedTraceSource(args.trace, jobs=args.jobs)
             else:
-                checker.run(TraceSource(
-                    iter(_load_check_trace(args.trace, args.jobs))
-                ))
+                source = TraceSource(iter(load_trace(args.trace)))
+        checker.run(source)
     except ShutdownRequested as exc:
         # Interrupted at a safe point: persist progress, exit clean.
         if checker is not None and (args.checkpoint or args.resume):
@@ -351,9 +334,6 @@ def _check_supervised_body(
         else:
             print(f"interrupted by signal {exc.signum}", file=sys.stderr)
         return EXIT_INTERRUPTED
-    finally:
-        if packed_reader is not None:
-            packed_reader.close()
     if args.checkpoint and not args.resume:
         written = checker.checkpoint()
         print(f"final checkpoint written to {written}")
@@ -367,11 +347,6 @@ def _check_supervised_body(
         print(f"  event {event.position}: {event.rung} "
               f"({event.trigger}) -> {event.detail}")
     return 1 if warning_count else 0
-
-
-def _fast_forward_enabled(args: argparse.Namespace) -> bool:
-    """Packed input + fast-forward not disabled on the command line."""
-    return not args.no_fast_forward and _is_packed(args.trace)
 
 
 def _region_memo(args: argparse.Namespace):
@@ -394,16 +369,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     names = _selected_backends(args.backend)
     backends = [resolve_backend(name)() for name in names]
     pipeline = Pipeline(backends, stats=args.stats, memo=_region_memo(args))
-    if _fast_forward_enabled(args):
-        # Block-granular source: backends fast-forward summarized
-        # blocks, and the full trace is only decoded if the warning
-        # report actually needs it (--render/--explain).
-        from repro.pipeline.source import PackedTraceSource
-
+    if _is_packed(args.trace):
+        # Block by block: the full trace is only decoded if the
+        # warning report actually needs it (--render/--explain).
         pipeline.run(PackedTraceSource(args.trace, jobs=args.jobs))
         trace = lambda: _load_check_trace(args.trace, args.jobs)
     else:
-        trace = _load_check_trace(args.trace, args.jobs)
+        trace = load_trace(args.trace)
         pipeline.run(TraceSource(trace))
     warning_count = _report_warnings(args, trace, backends)
     if args.stats:
@@ -826,9 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--explain", action="store_true",
                        help="print full explanations (cycle story, "
                             "marked diagram) for each warning")
-    check.add_argument("--no-fast-forward", action="store_true",
-                       help="always decode packed blocks and replay "
-                            "op-by-op, ignoring stored block summaries")
     check.add_argument("--stats", action="store_true",
                        help="print pipeline metrics after the analysis")
     check.add_argument("--memoize", action="store_true",

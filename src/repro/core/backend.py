@@ -49,22 +49,15 @@ class AnalysisBackend(abc.ABC):
         """Signal end of trace.  Subclasses may flush state."""
 
     def apply_block_summary(self, summary: "BlockSummary") -> bool:
-        """Fast-forward one packed block from its summary, if possible.
+        """Decline a packed block's summary; nothing in the package calls this.
 
-        A packed trace source offers each block's
-        :class:`~repro.store.summary.BlockSummary` before paying for
-        the block's decode.  A backend that can prove from the summary
-        alone that replaying the block operation by operation would
-        leave it in a state it can construct directly may apply that
-        state here and return True, *certifying* that its resulting
-        state — verdicts, counters, internal maps — is exactly what
-        the op-by-op replay would have produced.  ``events_processed``
-        must be advanced by ``summary.op_count`` before returning True.
-
-        Returning False declines the block: the caller decodes it and
-        feeds every operation through :meth:`process` as usual, so a
-        conservative (or wrong-shaped) summary can never weaken
-        soundness or completeness.  The default declines everything.
+        Packed blocks used to be offered here before decode, so a
+        backend could skip them from their stored
+        :class:`~repro.store.summary.BlockSummary`.  On realistic
+        traces almost no block qualified, so every block is now
+        decoded and fed through :meth:`process`.  The method stays
+        only so that tools which look it up by name on a backend
+        class (the repository benchmark's tracer) still find it.
         """
         return False
 

@@ -21,12 +21,6 @@ This implementation is the executable specification: unoptimized,
 close to the paper's rules, and cross-validated against the reference
 serializability checkers by the property-test suite.  The production
 analysis is :class:`repro.core.optimized.VelodromeOptimized`.
-
-Being the specification, it never fast-forwards packed blocks: it
-inherits the declining default of
-:meth:`~repro.core.backend.AnalysisBackend.apply_block_summary`, so
-every operation — unary transactions and all — is replayed exactly as
-Figure 2 writes it.
 """
 
 from __future__ import annotations

@@ -13,19 +13,6 @@ representation: four flat ``str/int -> int`` dictionaries instead of
 dictionaries of step objects, and no per-step Python object retention —
 the representation the paper credits for the prototype's memory
 behaviour.
-
-Block fast-forwarding (``apply_block_summary``) is inherited from the
-optimized analysis unchanged: a certified fold allocates no nodes and
-collects none, so the slot pool's attach/detach hooks never fire, and
-``encode``/``decode`` are pure functions of the resident slot state —
-storing only the block's *final* steps leaves the packed maps, the
-pool, and the reader index exactly as the op-by-op replay would (the
-flat dicts gain keys in the same first-touch order).  The one
-observable difference is at the timestamp-capacity cliff: the replay
-encodes intermediate steps the fold never materializes, so
-:class:`~repro.graph.stepcode.SlotsExhausted` could fire earlier
-op-by-op.  The supervised runtime treats that exception as a recovery
-trigger at any position, so the distinction is timing, not verdicts.
 """
 
 from __future__ import annotations

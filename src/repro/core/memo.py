@@ -472,10 +472,9 @@ class RegionAssembler:
     def buffering(self) -> bool:
         """True while a region is being held back *or* recorded.
 
-        Callers that can take shortcuts on whole blocks (summary
-        folds) must not do so while this is set: held-back operations
-        have not reached the backends yet, and a fold would leave a
-        gap in an in-flight recording (certifying a wrong summary).
+        While set, held-back operations have not reached the backends
+        yet, or an in-flight recording expects every further
+        operation of its thread.
         """
         return bool(self._buffer) or bool(self._rec)
 

@@ -344,156 +344,6 @@ class VelodromeOptimized(AnalysisBackend):
             self._set_last(tid, step)
             self._store_writer(op.target, step)
 
-    # ------------------------------------------------------- block folding
-    def apply_block_summary(self, summary) -> bool:
-        """Fast-forward one packed block without decoding it.
-
-        A foldable summary describes a single-tid block with no
-        ``begin``/``end`` markers, so every operation runs through the
-        merged outside-transaction rules above.  If the block's whole
-        footprint is *inert* — every live reader/writer/unlocker step
-        it would merge with already sits on this thread's last node
-        ``N`` — then every one of those merges returns an existing
-        step on ``N``: no node is allocated, no edge is added, no
-        cycle check runs, and no warning can be raised.  The final
-        state is then known in closed form from the summary's
-        timestamp offsets (``L(t).timestamp + k``), and this method
-        writes it directly: reader/writer/unlocker entries in
-        first-touch order (weak-map insertion order is observable
-        state), ``L(t)``, the node's high-water timestamp, and the
-        merge counter — bit-identical to the op-by-op replay, which
-        the fast-forward fuzz gate (``repro.fuzz.ffgate``) checks via
-        state snapshots.
-
-        Any condition this method cannot certify cheaply makes it
-        return False, and the caller replays the decoded block; only
-        time is lost, never precision.
-        """
-        if not summary.foldable or not self.merge_unary:
-            return False
-        tid = summary.tids[0]
-        if self._stacks.get(tid):
-            return False
-        last = self._load_last(tid)
-        if last is None:
-            return self._fold_vacuous(summary, tid)
-        node = last.node
-        if node.current:
-            return False
-        ts0 = last.timestamp
-
-        def inert(step: Optional[Step]) -> bool:
-            # A merge source that is dead (absent / collected) or on N
-            # cannot pull the fold off the node-N fast path.
-            return step is None or step.node is node
-
-        def is_last(step: Optional[Step]) -> bool:
-            return step is None or (
-                step.node is node and step.timestamp == ts0
-            )
-
-        for fp in summary.targets:
-            if fp.written:
-                for reader_tid in self._reader_tids(fp.name):
-                    if reader_tid != tid and self._load_reader(
-                            fp.name, reader_tid) is not None:
-                        return False
-                writer = self._load_writer(fp.name)
-                if fp.first_access_write:
-                    # The first write merges the pre-block R(x,t) and
-                    # W(x) before any in-block step shadows them; they
-                    # must be dead, or (when the thread's step has not
-                    # advanced yet, write_pre_k == 0) exactly L(t).
-                    own = self._load_reader(fp.name, tid)
-                    if fp.write_pre_k:
-                        if own is not None or writer is not None:
-                            return False
-                    elif not (is_last(own) and is_last(writer)):
-                        return False
-                elif not inert(writer):
-                    return False
-            elif fp.read:
-                if not inert(self._load_writer(fp.name)):
-                    return False
-            if fp.acquired:
-                if not inert(self._load_unlocker(fp.name)):
-                    return False
-            # Released-but-never-acquired locks need no check: a
-            # merged release never consults U(m), only overwrites it.
-
-        # Certified: write the replay's final state directly.
-        def step_at(k: int) -> Step:
-            return last if k == 0 else Step(node, ts0 + k)
-
-        targets = summary.targets
-        for fp in sorted((f for f in targets if f.read),
-                         key=lambda f: f.first_read):
-            self._store_reader(fp.name, tid, step_at(fp.read_k))
-        for fp in sorted((f for f in targets if f.written),
-                         key=lambda f: f.first_write):
-            self._store_writer(fp.name, step_at(fp.write_k))
-        for fp in sorted((f for f in targets if f.released),
-                         key=lambda f: f.first_release):
-            self._store_unlocker(fp.name, step_at(fp.release_k))
-        if ts0 + summary.max_k > node.last_timestamp:
-            node.last_timestamp = ts0 + summary.max_k
-        self._store_last(tid, step_at(summary.last_k))
-        # One merge per read, write, and acquire — releases advance
-        # the step without merging.
-        self.graph.stats.merges += (
-            summary.reads + summary.writes + summary.acquires
-        )
-        self.events_processed += summary.op_count
-        return True
-
-    def _fold_vacuous(self, summary, tid: int) -> bool:
-        """Fold a block whose thread has no live last step.
-
-        With ``L(t)`` absent (never set, or its node collected), the
-        merged outside rules degenerate: a merge whose sources are all
-        absent returns absent, so each operation stores an absent step
-        — and the weak maps record an absent store by *removing* the
-        entry.  Certifying this regime only requires the block's
-        pre-state footprint to be entirely dead; the replay then never
-        touches the graph, never merges, and can never warn, so its
-        net effect is exactly the removals below.  This is the common
-        regime on thread-local stretches, where garbage collection
-        reclaims each unary node almost immediately.
-        """
-        for fp in summary.targets:
-            if fp.written:
-                # A write merges every reader of x, including this
-                # thread's own pre-block one.
-                for reader_tid in self._reader_tids(fp.name):
-                    if self._load_reader(fp.name, reader_tid) is not None:
-                        return False
-            if (fp.read or fp.written) and (
-                self._load_writer(fp.name) is not None
-            ):
-                return False
-            if fp.acquired and self._load_unlocker(fp.name) is not None:
-                return False
-            # Released-but-never-acquired locks need no check.
-
-        # Absent stores, through the same helpers the replay would
-        # use (subclasses override them), in first-touch order: a
-        # read's store still creates the variable's reader table even
-        # when it removes nothing.
-        targets = summary.targets
-        for fp in sorted((f for f in targets if f.read),
-                         key=lambda f: f.first_read):
-            self._store_reader(fp.name, tid, None)
-        for fp in sorted((f for f in targets if f.written),
-                         key=lambda f: f.first_write):
-            self._store_writer(fp.name, None)
-        for fp in sorted((f for f in targets if f.released),
-                         key=lambda f: f.first_release):
-            self._store_unlocker(fp.name, None)
-        self._store_last(tid, None)
-        # Merges that return absent are not counted by stats.merges.
-        self.events_processed += summary.op_count
-        return True
-
     # ---------------------------------------------------- region memoization
     def apply_region_summary(self, summary, tid: int) -> bool:
         """Apply one memoized transaction-bounded region without replay.

@@ -147,8 +147,8 @@ class BlockListTask:
 
     Like :class:`BlockRangeTask` but returning one operation list per
     block instead of a flat concatenation: the block-granular analysis
-    plane (:class:`~repro.pipeline.source.PackedTraceSource`) needs
-    per-block lists so decoded blocks line up with their summaries.
+    plane (:class:`~repro.pipeline.source.PackedTraceSource`) dispatches
+    one block at a time.
     """
 
     path: str
@@ -278,7 +278,6 @@ class LabCellResult:
     best_seconds: float
     events_per_sec: float
     peak_nodes: Optional[int]
-    fast_forwarded: int
     memoized: int
     memo_hits: int
     memo_misses: int
@@ -287,31 +286,32 @@ class LabCellResult:
 def run_lab_cell(task: LabCellTask) -> LabCellResult:
     """Worker: replay one recorded trace through one fresh backend.
 
-    Timing is best-of-``repeats`` (each repeat is a fresh backend over
-    the same packed source); the verdict, labels, and counter fields
-    come from the best-timed repeat, and are identical across repeats
-    by determinism of the replay.
+    Timing is :func:`~repro.bench.harness.best_of` over ``repeats``
+    runs, each a fresh backend over the same packed source.  The
+    verdict, labels, and counter fields come from the last run; the
+    replay is deterministic, so every run yields the same ones.
     """
-    import time
-
+    from repro.bench.harness import best_of
     from repro.core.memo import RegionMemo
     from repro.experiments.runner import make_backend
     from repro.pipeline.core import Pipeline
     from repro.pipeline.source import PackedTraceSource
 
-    best = None
-    for _ in range(max(1, task.repeats)):
+    last: list = []
+
+    def replay() -> None:
         backend = make_backend(task.backend)
-        memo = RegionMemo() if task.memoize else None
-        pipeline = Pipeline([backend], stats=True, memo=memo)
-        started = time.perf_counter()
+        pipeline = Pipeline(
+            [backend], memo=RegionMemo() if task.memoize else None
+        )
         pipeline.run(PackedTraceSource(task.trace_path))
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best[0]:
-            best = (elapsed, backend, pipeline.metrics(elapsed=elapsed))
-    elapsed, backend, metrics = best
+        last[:] = [backend, pipeline]
+
+    (timing,) = best_of(max(1, task.repeats), replay)
+    backend, pipeline = last
+    elapsed = timing.best
+    metrics = pipeline.metrics(elapsed=elapsed)
     graph = getattr(backend, "graph", None)
-    backend_metrics = metrics.backends[0]
     return LabCellResult(
         workload=task.workload,
         point=task.point,
@@ -322,8 +322,7 @@ def run_lab_cell(task: LabCellTask) -> LabCellResult:
         best_seconds=elapsed,
         events_per_sec=metrics.events_in / elapsed if elapsed > 0 else 0.0,
         peak_nodes=graph.stats.max_alive if graph is not None else None,
-        fast_forwarded=backend_metrics.events_fast_forwarded,
-        memoized=backend_metrics.events_memoized,
+        memoized=metrics.backends[0].events_memoized,
         memo_hits=metrics.memo_hits,
         memo_misses=metrics.memo_misses,
     )

@@ -26,16 +26,6 @@ from repro.pipeline.metrics import (
 from repro.pipeline.source import EventSource, SourceResult
 from repro.pipeline.stages import Stage
 
-#: Block-summary histogram slots, in on-disk kind-code order.  Kept in
-#: lockstep with ``repro.store.summary.HISTOGRAM_KINDS`` (pinned by
-#: tests) but defined locally: the store package reaches this module
-#: through the resilience layer, so importing back would cycle.
-_HISTOGRAM_KINDS = (
-    OpKind.READ, OpKind.WRITE, OpKind.ACQUIRE,
-    OpKind.RELEASE, OpKind.BEGIN, OpKind.END,
-)
-
-
 class Pipeline:
     """Filter stages plus backend fan-out; callable as an event sink.
 
@@ -76,7 +66,6 @@ class Pipeline:
         self.events_in = 0
         self.events_out = 0
         self.blocks_in = 0
-        self.blocks_decoded = 0
         self.elapsed = 0.0
         self._kind_counts: dict[OpKind, int] = {}
 
@@ -101,56 +90,26 @@ class Pipeline:
 
     __call__ = process
 
-    def process_block(self, summary, decode) -> None:
-        """Run one packed block through the fan-out.
+    def process_block(self, ops) -> None:
+        """Run one decoded packed block through the fan-out.
 
-        ``summary`` is the block's
-        :class:`~repro.store.summary.BlockSummary` (or ``None`` when
-        the source has none — v1 files, partial resume blocks), and
-        ``decode`` a thunk producing the block's operations.  Blocks
-        bypass the stage chain, so :meth:`run` only routes to this
-        method when no stages are attached.
+        ``ops`` is the block's operation list.  Blocks bypass the
+        stage chain, so :meth:`run` only routes to this method when no
+        stages are attached.  With memoization on, the operations go
+        through the region assembler, whose regions may span blocks.
         """
         self.blocks_in += 1
-        if summary is None:
-            self.blocks_decoded += 1
-            process = self.process
-            for op in decode():
-                process(op)
-            return
-        assembler = self._assembler
-        if assembler is not None and (
-            assembler.buffering
-            or summary.histogram[4]  # BEGIN ops in the block
-            or summary.histogram[5]  # END ops in the block
-        ):
-            # Regions may start, continue, or close inside this block —
-            # and while the assembler holds buffered operations the
-            # backends lag the stream, so a summary fold must not be
-            # offered.  Decode and route through the assembler.
-            self.blocks_decoded += 1
-            count = summary.op_count
-            self.events_in += count
-            self.events_out += count
-            if self.stats:
-                counts = self._kind_counts
-                for kind, n in zip(_HISTOGRAM_KINDS, summary.histogram):
-                    if n:
-                        counts[kind] = counts.get(kind, 0) + n
-            sink = self._sink
-            for op in decode():
-                sink(op)
-            return
-        count = summary.op_count
+        count = len(ops)
         self.events_in += count
         self.events_out += count
         if self.stats:
             counts = self._kind_counts
-            for kind, n in zip(_HISTOGRAM_KINDS, summary.histogram):
-                if n:
-                    counts[kind] = counts.get(kind, 0) + n
-        if self.fanout.process_block(summary, decode):
-            self.blocks_decoded += 1
+            for op in ops:
+                counts[op.kind] = counts.get(op.kind, 0) + 1
+        if self._assembler is not None:
+            self._assembler.process_many(ops)
+        else:
+            self.fanout.process_block(ops)
 
     def finish(self) -> None:
         """Signal end of stream to every backend.
@@ -166,10 +125,10 @@ class Pipeline:
     def run(self, source: EventSource) -> SourceResult:
         """Drain ``source`` through this pipeline, then finish.
 
-        Sources that can serve whole packed blocks (``run_blocks``,
-        e.g. :class:`~repro.pipeline.source.PackedTraceSource`) are
-        drained block-wise so backends may fast-forward; a stage chain
-        forces the op-wise path (stages see individual operations).
+        Sources that serve decoded packed blocks (``run_blocks``, e.g.
+        :class:`~repro.pipeline.source.PackedTraceSource`) are drained
+        block-wise, one dispatch per block; a stage chain forces the
+        op-wise path (stages see individual operations).
 
         Records total wall time in :attr:`elapsed` (and therefore in
         the metrics snapshot), regardless of the ``stats`` setting.
@@ -228,7 +187,6 @@ class Pipeline:
             backends=self.fanout.backend_metrics(),
             elapsed=self.elapsed if elapsed is None else elapsed,
             blocks_in=self.blocks_in,
-            blocks_decoded=self.blocks_decoded,
             memo_hits=self.memo.hits if self.memo is not None else 0,
             memo_misses=self.memo.misses if self.memo is not None else 0,
             memo_evictions=(

@@ -44,8 +44,6 @@ class FanOut:
         self.backends = list(backends)
         self.timed = timed
         self.times = [0.0] * len(self.backends)
-        #: Per-backend events absorbed via block summaries.
-        self.ff_events = [0] * len(self.backends)
         #: Per-backend events absorbed via memoized region summaries.
         self.memo_events = [0] * len(self.backends)
         self._clock = time.perf_counter  # hoisted out of the event loop
@@ -100,37 +98,17 @@ class FanOut:
             times[index] += clock() - started
 
     # -------------------------------------------------------------- blocks
-    def process_block(self, summary, decode) -> bool:
-        """Offer one packed block to every backend; returns True iff it
-        had to be decoded.
+    def process_block(self, ops: Sequence[Operation]) -> None:
+        """Feed one decoded packed block to every backend.
 
-        Each backend is first offered the block's summary via
-        :meth:`~repro.core.backend.AnalysisBackend.apply_block_summary`.
-        The decode thunk runs at most once, lazily, the first time a
-        backend declines; decliners then replay the operations through
-        their ordinary ``process``.  In timed mode the summary offer
-        and the replay are attributed to the backend, the shared
-        decode to none (it is store cost, not analysis cost).
-
-        Backends see the block in backend order, not interleaved — an
-        accepter is fully fast-forwarded before the next backend runs.
-        Backends are independent (that is the point of the fan-out),
-        so the reordering is unobservable.
+        Backends see the block in backend order, not interleaved: each
+        runs through the whole block before the next starts.  Backends
+        are independent (that is the point of the fan-out), so the
+        reordering is unobservable.  In timed mode each backend's pass
+        is attributed to it.
         """
-        ops = None
         clock = self._clock if self.timed else None
         for index, backend in enumerate(self.backends):
-            if clock is not None:
-                started = clock()
-                accepted = backend.apply_block_summary(summary)
-                self.times[index] += clock() - started
-            else:
-                accepted = backend.apply_block_summary(summary)
-            if accepted:
-                self.ff_events[index] += summary.op_count
-                continue
-            if ops is None:
-                ops = decode()
             process = backend.process
             if clock is not None:
                 started = clock()
@@ -140,7 +118,6 @@ class FanOut:
             else:
                 for op in ops:
                     process(op)
-        return ops is not None
 
     # ------------------------------------------------------------- regions
     def process_region(self, ops, summary) -> None:
@@ -178,10 +155,9 @@ class FanOut:
                 events=backend.events_processed,
                 time=elapsed,
                 warning_count=backend.warning_count,
-                events_fast_forwarded=fast,
                 events_memoized=memoized,
             )
-            for backend, elapsed, fast, memoized in zip(
-                self.backends, self.times, self.ff_events, self.memo_events
+            for backend, elapsed, memoized in zip(
+                self.backends, self.times, self.memo_events
             )
         )

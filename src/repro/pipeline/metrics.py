@@ -37,20 +37,16 @@ class BackendMetrics:
 
     ``time`` covers this backend's ``process``/``finish`` calls only
     (measured by the fan-out dispatcher); it is 0.0 when the pipeline
-    ran without timing enabled.  ``events_fast_forwarded`` counts the
-    events this backend absorbed via block summaries
-    (:meth:`~repro.core.backend.AnalysisBackend.apply_block_summary`)
-    and ``events_memoized`` those absorbed via memoized region
-    summaries (:meth:`~repro.core.backend.AnalysisBackend.
-    apply_region_summary`) instead of op-by-op replay; both are
-    included in ``events``.
+    ran without timing enabled.  ``events_memoized`` counts the events
+    this backend absorbed via memoized region summaries
+    (:meth:`~repro.core.backend.AnalysisBackend.apply_region_summary`)
+    instead of op-by-op replay; they are included in ``events``.
     """
 
     name: str
     events: int
     time: float
     warning_count: int
-    events_fast_forwarded: int = 0
     events_memoized: int = 0
 
 
@@ -64,10 +60,8 @@ class PipelineMetrics:
     stages: tuple[StageMetrics, ...] = ()
     backends: tuple[BackendMetrics, ...] = ()
     elapsed: float = 0.0
-    #: Packed blocks offered to the pipeline (0 for op-wise sources).
+    #: Packed blocks dispatched to the pipeline (0 for op-wise sources).
     blocks_in: int = 0
-    #: Blocks that at least one backend required a full decode for.
-    blocks_decoded: int = 0
     #: Completed regions whose shape was found in the memo table.
     memo_hits: int = 0
     #: Completed regions summarized (and certified) for the first time.
@@ -78,11 +72,6 @@ class PipelineMetrics:
     @property
     def events_dropped(self) -> int:
         return self.events_in - self.events_out
-
-    @property
-    def blocks_fast_forwarded(self) -> int:
-        """Blocks every backend absorbed from summaries alone."""
-        return self.blocks_in - self.blocks_decoded
 
     @property
     def events_per_second(self) -> float:
@@ -109,7 +98,7 @@ class PipelineMetrics:
         with differing stage/backend line-ups simply union the names.
         """
         events_in = events_out = 0
-        blocks_in = blocks_decoded = 0
+        blocks_in = 0
         memo_hits = memo_misses = memo_evictions = 0
         elapsed = 0.0
         by_kind: dict[str, int] = {}
@@ -119,14 +108,12 @@ class PipelineMetrics:
         backend_events: dict[str, int] = {}
         backend_time: dict[str, float] = {}
         backend_warnings: dict[str, int] = {}
-        backend_ff: dict[str, int] = {}
         backend_memo: dict[str, int] = {}
         backend_order: list[str] = []
         for snap in snapshots:
             events_in += snap.events_in
             events_out += snap.events_out
             blocks_in += snap.blocks_in
-            blocks_decoded += snap.blocks_decoded
             memo_hits += snap.memo_hits
             memo_misses += snap.memo_misses
             memo_evictions += snap.memo_evictions
@@ -152,10 +139,6 @@ class PipelineMetrics:
                 backend_warnings[backend.name] = (
                     backend_warnings.get(backend.name, 0) + backend.warning_count
                 )
-                backend_ff[backend.name] = (
-                    backend_ff.get(backend.name, 0)
-                    + backend.events_fast_forwarded
-                )
                 backend_memo[backend.name] = (
                     backend_memo.get(backend.name, 0)
                     + backend.events_memoized
@@ -174,14 +157,12 @@ class PipelineMetrics:
                     backend_events[name],
                     backend_time[name],
                     backend_warnings[name],
-                    backend_ff[name],
                     backend_memo[name],
                 )
                 for name in backend_order
             ),
             elapsed=elapsed,
             blocks_in=blocks_in,
-            blocks_decoded=blocks_decoded,
             memo_hits=memo_hits,
             memo_misses=memo_misses,
             memo_evictions=memo_evictions,
@@ -206,11 +187,7 @@ class PipelineMetrics:
                 f"({self.events_per_second:,.0f} events/s)"
             )
         if self.blocks_in:
-            lines.append(
-                f"  blocks: in={self.blocks_in} "
-                f"decoded={self.blocks_decoded} "
-                f"fast-forwarded={self.blocks_fast_forwarded}"
-            )
+            lines.append(f"  blocks: in={self.blocks_in}")
         if self.memo_hits or self.memo_misses or self.memo_evictions:
             lines.append(
                 f"  memo: hits={self.memo_hits} "
@@ -224,17 +201,13 @@ class PipelineMetrics:
             )
         for backend in self.backends:
             timing = f" time={backend.time:.3f}s" if backend.time else ""
-            fast = (
-                f" fast-forwarded={backend.events_fast_forwarded}"
-                if backend.events_fast_forwarded else ""
-            )
             memoized = (
                 f" memoized={backend.events_memoized}"
                 if backend.events_memoized else ""
             )
             lines.append(
                 f"  backend {backend.name}: events={backend.events}"
-                f"{timing}{fast}{memoized} warnings={backend.warning_count}"
+                f"{timing}{memoized} warnings={backend.warning_count}"
             )
         return "\n".join(lines)
 

@@ -87,19 +87,18 @@ class PackedTraceSource:
 
     Satisfies :class:`EventSource` through :meth:`run`, but also
     offers :meth:`run_blocks`, which :meth:`Pipeline.run
-    <repro.pipeline.core.Pipeline.run>` prefers: the sink receives
-    ``(summary, decode)`` pairs — the block's stored
-    :class:`~repro.store.summary.BlockSummary` (``None`` for v1 files
-    and partial resume blocks) and a thunk decoding the block — so
-    backends can fast-forward summarized blocks without ever paying
-    for the decode.
+    <repro.pipeline.core.Pipeline.run>` and the supervised checker
+    prefer: the sink receives each block's decoded operation list, so
+    dispatch costs one call per block rather than one per operation.
+    Each block is decoded exactly once, and only one block at a time
+    is resident unless ``jobs`` prefetches them.
 
     Args:
         path: the packed trace file (or a seekable binary stream; a
             stream disables parallel prefetch).
         start_seq: first global position to deliver (resume support).
-            The containing block is delivered as a summary-less
-            partial block; later blocks flow normally.
+            Decoding starts at the block containing it, whose
+            operations before ``start_seq`` are dropped.
         jobs: with more than one, block decodes are prefetched by
             worker processes (disjoint block ranges, merged in block
             order), so the operation stream — and therefore every
@@ -124,7 +123,7 @@ class PackedTraceSource:
         return SourceResult(events=count)
 
     def run_blocks(self, block_sink) -> SourceResult:
-        """Drive ``block_sink(summary, decode)`` over every block."""
+        """Drive ``block_sink(ops)`` over every block, in order."""
         from repro.store.reader import PackedTraceReader
 
         count = 0
@@ -140,22 +139,18 @@ class PackedTraceSource:
             prefetched = self._prefetch(reader, start_block)
             for info in reader.blocks[start_block:]:
                 if prefetched is not None:
-                    cached = prefetched[info.number - start_block]
-                    decode = (lambda ops=cached: ops)
+                    ops = prefetched[info.number - start_block]
                 else:
-                    decode = (
-                        lambda r=reader, b=info: r.decode_block(b)
-                    )
-                if skip and info.number == start_block:
-                    # A partial block's stored summary describes
-                    # operations the sink must not see; deliver the
-                    # tail summary-less.
-                    tail = decode()[skip:]
-                    block_sink(None, lambda ops=tail: ops)
-                    count += len(tail)
-                else:
-                    block_sink(reader.block_summary(info.number), decode)
-                    count += info.op_count
+                    ops = reader.decode_block(info)
+                if skip:
+                    # The resume position falls inside this block.
+                    ops = ops[skip:]
+                    skip = 0
+                block_sink(ops)
+                count += len(ops)
+                # Let go of this block before decoding the next, so a
+                # sink that no longer holds it frees it first.
+                del ops
         return SourceResult(events=count)
 
     def _prefetch(self, reader, start_block: int):

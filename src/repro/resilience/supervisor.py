@@ -61,27 +61,6 @@ PathLike = Union[str, Path]
 MAX_REPLAY_ATTEMPTS = 3
 
 
-class _BlockEntry:
-    """A buffered packed block, decoded only if a recovery replays it.
-
-    Fully fast-forwarded blocks were never decoded; buffering the
-    summary plus the decode thunk keeps that saving unless an
-    exhaustion later in the window actually forces a replay.
-    """
-
-    __slots__ = ("summary", "_decode", "_ops")
-
-    def __init__(self, summary, decode, ops=None):
-        self.summary = summary
-        self._decode = decode
-        self._ops = ops
-
-    def ops(self):
-        if self._ops is None:
-            self._ops = self._decode()
-        return self._ops
-
-
 @dataclass(frozen=True)
 class SupervisedReport:
     """What happened during a supervised run."""
@@ -204,13 +183,10 @@ class SupervisedChecker:
             capture_backend(backend) if supports(backend) else None
             for backend in self.backends
         ]
-        #: Operations (and undecoded block entries) since the boundary.
+        #: Operations (and whole-block operation lists) since the
+        #: boundary.
         self._buffer: list = []
         self._buffered_ops = 0
-        #: [first_seq, last_seq] spans every backend absorbed from
-        #: summaries alone — recorded into checkpoint meta so a resumed
-        #: run can see which stretches were never decoded.
-        self._ff_ranges: list[list[int]] = []
         self.memo = memo
         self._assembler: Optional[RegionAssembler] = None
         if memo is not None:
@@ -313,17 +289,17 @@ class SupervisedChecker:
 
     __call__ = process
 
-    def process_block(self, summary, decode) -> None:
-        """Feed one packed block to every backend, with recovery.
+    def process_block(self, ops: list[Operation]) -> None:
+        """Feed one decoded packed block to every backend, with recovery.
 
-        Summary-less blocks (v1 recordings, partial resume blocks) are
-        replayed through :meth:`process`, op for op.  Otherwise each
-        backend is offered the summary
-        (:meth:`~repro.core.backend.AnalysisBackend.apply_block_summary`)
-        and decliners replay the decoded operations, exactly like the
-        pipeline fan-out — plus the supervisor's guarantees: an
-        exhaustion anywhere (even inside the fold itself) rolls the
-        backend back to the recovery boundary and replays forward.
+        Each backend runs through the whole block, exactly like the
+        pipeline fan-out, plus the supervisor's guarantees: an
+        exhaustion anywhere rolls the backend back to the recovery
+        boundary and replays forward.  The block joins the recovery
+        buffer as one entry, and the stop check, governor probes and
+        checkpoint trigger run once per block.  With memoization on,
+        the operations go through the region assembler one by one
+        instead, since regions may span blocks.
 
         Checkpoints and governor probes fire on *interval crossings*
         rather than exact positions — a block advance can jump over a
@@ -332,60 +308,19 @@ class SupervisedChecker:
         Every checkpoint is still a consistent cut; resumes from either
         produce identical verdicts.
         """
-        if summary is None:
-            for op in decode():
-                self.process(op)
-            return
-        assembler = self._assembler
-        if assembler is not None and (
-            assembler.buffering
-            or summary.histogram[4]  # BEGIN ops (store histogram order)
-            or summary.histogram[5]  # END ops
-        ):
-            # Regions may start, continue, or close inside this block —
-            # and while the assembler buffers, the backends lag the
-            # stream, so a summary fold must not be offered.  Route the
-            # decoded operations through the assembler (self.process).
-            process = self.process
-            for op in decode():
-                process(op)
+        if self._assembler is not None:
+            self._assembler.process_many(ops)
             return
         if self.stop_check is not None:
             self.stop_check()
-        ops = None
         for index, backend in enumerate(self.backends):
-            try:
-                accepted = backend.apply_block_summary(summary)
-            except SlotsExhausted as exc:
-                # The fold may have half-applied; the rollback
-                # discards it, then the block replays op-wise below.
-                self._recover(index, exc)
-                accepted = False
-            if accepted:
-                continue
-            if ops is None:
-                ops = decode()
+            process = backend.process
             for done, op in enumerate(ops):
                 try:
-                    backend.process(op)
+                    process(op)
                 except SlotsExhausted as exc:
                     self._recover(index, exc, ops[: done + 1])
-        before = self.position
-        self.position += summary.op_count
-        if ops is None:
-            self._record_fast_forward(summary)
-        self._buffer.append(_BlockEntry(summary, decode, ops))
-        self._buffered_ops += summary.op_count
-        for governor in self.governors:
-            if governor.should_check_span(before, self.position):
-                governor.intervene(self.position)
-        if self.checkpoint_every is not None and (
-            before // self.checkpoint_every
-            != self.position // self.checkpoint_every
-        ):
-            self.checkpoint()
-        elif self._buffered_ops >= self.recovery_window:
-            self._refresh_boundary()
+        self._advance(ops)
 
     def process_region(self, ops, summary) -> None:
         """Feed one memoized region to every backend, with recovery.
@@ -399,7 +334,7 @@ class SupervisedChecker:
         buffered operations.  Position advances by the whole region,
         so checkpoints and governor probes fire on interval crossings,
         exactly like block advances; the buffered operations join the
-        recovery buffer as plain ops.
+        recovery buffer as one entry.
         """
         if self.stop_check is not None:
             self.stop_check()
@@ -419,9 +354,18 @@ class SupervisedChecker:
                     backend.process(op)
                 except SlotsExhausted as exc:
                     self._recover(index, exc, ops[: done + 1])
+        self._advance(ops)
+
+    def _advance(self, ops: list[Operation]) -> None:
+        """Account for ``ops`` delivered to every backend as one unit.
+
+        Buffers them as one recovery entry, then fires the governor
+        probes and the checkpoint (or boundary refresh) whose interval
+        the advance crossed.
+        """
         before = self.position
         self.position += len(ops)
-        self._buffer.extend(ops)
+        self._buffer.append(ops)
         self._buffered_ops += len(ops)
         for governor in self.governors:
             if governor.should_check_span(before, self.position):
@@ -433,13 +377,6 @@ class SupervisedChecker:
             self.checkpoint()
         elif self._buffered_ops >= self.recovery_window:
             self._refresh_boundary()
-
-    def _record_fast_forward(self, summary) -> None:
-        spans = self._ff_ranges
-        if spans and spans[-1][1] + 1 == summary.first_seq:
-            spans[-1][1] = summary.last_seq
-        else:
-            spans.append([summary.first_seq, summary.last_seq])
 
     def finish(self) -> None:
         """Signal end of stream to every backend.
@@ -456,8 +393,8 @@ class SupervisedChecker:
     def run(self, source: EventSource) -> SourceResult:
         """Drain ``source`` through the supervised backends.
 
-        Sources offering whole packed blocks (``run_blocks``) are
-        drained block-wise so backends may fast-forward.
+        Sources offering decoded packed blocks (``run_blocks``) are
+        drained block-wise, one dispatch per block.
         """
         run_blocks = getattr(source, "run_blocks", None)
         if run_blocks is not None:
@@ -484,11 +421,6 @@ class SupervisedChecker:
         meta = self.checkpoint_meta
         if callable(meta):
             meta = meta(self.position)
-        if self._ff_ranges:
-            meta = dict(meta) if meta else {}
-            meta["fast_forwarded_blocks"] = [
-                list(span) for span in self._ff_ranges
-            ]
         written = write_snapshot(
             target, self.backends, self.position, meta=meta,
             keep_previous=True,
@@ -514,13 +446,11 @@ class SupervisedChecker:
 
         ``tail`` holds the operations this backend saw after the last
         buffered item, ending with the one whose ``process`` failed
-        (for a failed block fold, the fold half-applied no *operation*,
-        so the tail is empty).  The failed call may have half-applied
-        its work (edges added, a node allocated, a warning reported) —
-        the rollback discards all of that, so recovery never
-        duplicates or loses work.  Undecoded blocks in the buffer are
-        decoded here, the first time a recovery actually replays them.
-        The restore compacts the step-code pool, which is what usually
+        (for a failed region offer, the offer half-applied no
+        *operation*, so the tail is empty).  The failed call may have
+        half-applied its work (edges added, a node allocated, a
+        warning reported) — the rollback discards all of that, so
+        recovery never duplicates or loses work.  The restore compacts the step-code pool, which is what usually
         clears the exhaustion; if replay hits the wall again the
         governor's ladder escalates, ending (when permitted) in the
         sound-but-flagged window reset.
@@ -562,18 +492,13 @@ class SupervisedChecker:
     def _replay_stream(self, tail: Sequence[Operation]):
         """Every operation since the boundary: buffer, then ``tail``."""
         for item in self._buffer:
-            if isinstance(item, _BlockEntry):
-                yield from item.ops()
+            if isinstance(item, list):
+                yield from item
             else:
                 yield item
         yield from tail
 
     # --------------------------------------------------------------- results
-    @property
-    def fast_forwarded_events(self) -> int:
-        """Events absorbed from block summaries without decode."""
-        return sum(last - first + 1 for first, last in self._ff_ranges)
-
     @property
     def degraded(self) -> bool:
         """True if any backend runs with degraded completeness."""

@@ -51,7 +51,6 @@ class ServeMetrics:
         self.recoveries = 0
         self.degradations = 0
         self.degraded_streams = 0
-        self.fast_forwarded_events = 0
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_evictions = 0
@@ -76,9 +75,6 @@ class ServeMetrics:
             )
             self.recoveries += outcome.get("recoveries", 0)
             self.degradations += outcome.get("degradations", 0)
-            self.fast_forwarded_events += outcome.get(
-                "fast_forwarded_events", 0
-            )
             self.max_checkpoint_lag = max(
                 self.max_checkpoint_lag, outcome.get("checkpoint_lag", 0)
             )
@@ -144,7 +140,6 @@ class ServeMetrics:
                 "max_checkpoint_lag": self.max_checkpoint_lag,
                 "recoveries": self.recoveries,
                 "degradations": self.degradations,
-                "fast_forwarded_events": self.fast_forwarded_events,
                 "memo": {
                     "hits": self.memo_hits,
                     "misses": self.memo_misses,

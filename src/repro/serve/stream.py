@@ -164,7 +164,6 @@ def process_stream(task) -> dict:
         "degraded": False,
         "degradations": 0,
         "checkpoint_lag": 0,
-        "fast_forwarded_events": 0,
         "resumed_from": None,
         "quarantine": None,
         "memo": None,
@@ -252,7 +251,6 @@ def process_stream(task) -> dict:
         outcome["checkpoint_lag"] = (
             checker.position - checker.last_checkpoint_position
         )
-        outcome["fast_forwarded_events"] = checker.fast_forwarded_events
         if memo is not None:
             outcome["memo"] = memo.stats()
         if quarantine is not None:

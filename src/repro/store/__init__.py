@@ -14,8 +14,8 @@ Public surface:
   quarantine-aware recovery reads;
 * :func:`load_packed_parallel` — multi-process block-range decode;
 * :class:`BlockSummary` / :class:`TargetFootprint` /
-  :func:`summarize_ops` — the v2 per-block summary records that let
-  analyses fast-forward whole blocks without decoding them;
+  :func:`summarize_ops` — the v2 per-block summary records (what each
+  block touches), rendered by ``repro trace info --summaries``;
 * :func:`sniff_path` / :func:`sniff_bytes` — magic-byte format
   detection shared by every trace-reading entry point.
 """

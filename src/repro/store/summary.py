@@ -8,14 +8,11 @@ every summary from the trailing index for free; for v1 files the same
 record is reconstructed lazily from a full decode of the block
 (:meth:`repro.store.reader.PackedTraceReader.block_summary`).
 
-Summaries exist so an analysis can *fast-forward* a block: a backend
-that can prove from the footprint alone that replaying the block op by
-op would only shuffle steps along one already-known transaction node
-may apply the whole block as a single batched state update
-(:meth:`repro.core.backend.AnalysisBackend.apply_block_summary`).  To
-make that exact — bit-identical state, not merely equal verdicts — a
-*foldable* summary also carries the result of a tiny abstract replay
-run at write time:
+Summaries are informational: ``repro trace info --summaries`` renders
+them, and no analysis reads them (every block is decoded and replayed
+op by op).  A *foldable* summary also records the result of a tiny
+abstract replay run at write time, enough to apply the block as one
+batched state update with bit-identical state:
 
 * every step a merged outside-transaction run produces lives on the
   thread's current node ``N`` at some timestamp ``L(t).timestamp + k``;
@@ -32,8 +29,8 @@ A summary is ``foldable`` only for single-tid blocks containing no
 histogram (``repro trace info`` renders them) with ``foldable=False``.
 
 The histogram is ordered exactly like the on-disk op-kind codes
-(:data:`repro.store.codec.KIND_CODES`); ``tests/test_fastforward.py``
-pins the alignment.
+(:data:`repro.store.codec.KIND_CODES`); ``tests/test_store.py`` pins
+the alignment.
 """
 
 from __future__ import annotations
@@ -87,7 +84,7 @@ class TargetFootprint:
     released: bool = False
     #: For variables: the first access was a write (no prior in-block
     #: read).  Folding such a block needs the pre-block reader/writer
-    #: entries to be provably inert; see ``apply_block_summary``.
+    #: entries to be provably inert.
     first_access_write: bool = False
     first_read: int = -1
     read_k: int = 0

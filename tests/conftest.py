@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import strategies as st
 
 from repro.events import operations as ops
 from repro.events.trace import Trace
+from repro.resilience.snapshot import capture_backend
 
 # ---------------------------------------------------------------------------
 # Random well-formed trace generation.
@@ -74,3 +77,13 @@ def small_traces(draw) -> Trace:
     """Strategy producing traces small enough for brute-force search."""
     codes = draw(st.lists(_ACTION, max_size=9))
     return interpret_actions(codes, n_threads=2, n_vars=2, n_locks=1)
+
+
+def state_digest(backend) -> str:
+    """Canonical full-state fingerprint of a snapshot-capable backend.
+
+    The same capture checkpointing trusts
+    (:func:`~repro.resilience.snapshot.capture_backend`), so equal
+    digests mean equal verdicts, counters and internal maps.
+    """
+    return json.dumps(capture_backend(backend), sort_keys=True)

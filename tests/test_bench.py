@@ -57,14 +57,12 @@ class TestDeclarations:
     def test_thresholds_are_the_ci_values(self):
         assert {name: lane.threshold for name, lane in LANES.items()} == {
             "backends": 0.50, "memo": 0.30, "store": 0.30,
-            "analyze": 0.30, "parallel": 0.30, "workloads": 0.60,
+            "parallel": 0.30, "workloads": 0.60,
         }
 
     def test_floors_are_the_ci_values(self):
         assert (bench.store.SIZE_RATIO_FLOOR,
                 bench.store.DECODE_SPEEDUP_FLOOR) == (3.0, 1.5)
-        assert (bench.analyze.SPARSE_SPEEDUP_FLOOR,
-                bench.analyze.DENSE_RATIO_FLOOR) == (2.0, 0.95)
         assert (bench.memo.MIN_SPEEDUP,
                 bench.memo.MAX_OVERHEAD) == (2.0, 0.10)
         assert bench.parallel.JOBS == 2
@@ -128,9 +126,6 @@ class TestDriftGate:
 ABSOLUTE_MISSES = [
     ("store", "size.ratio", 2.99, "size"),
     ("store", "decode.speedup", 1.49, "decode"),
-    ("analyze", "sparse.speedup", 1.99, "analyze.sparse"),
-    ("analyze", "sparse.blocks_fast_forwarded", 0, "no block"),
-    ("analyze", "dense.speedup", 0.94, "analyze.dense"),
     ("memo", "lanes.high_repetition.speedup", 1.99, "high_repetition"),
     ("memo", "lanes.low_repetition.overhead", 0.11, "low_repetition"),
 ]

@@ -185,7 +185,7 @@ class TestRunner:
             "backend": "aerodrome", "events": 1, "verdict": "violating",
             "labels": ("something.else",), "best_seconds": 0.1,
             "events_per_sec": 10.0, "peak_nodes": None,
-            "fast_forwarded": 0, "memoized": 0,
+            "memoized": 0,
             "memo_hits": 0, "memo_misses": 0,
         }
         from repro.parallel.tasks import LabCellResult

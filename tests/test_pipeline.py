@@ -7,12 +7,15 @@ same trace.  The harnesses (Table 1/2, injection) rely on this to
 replace their per-backend replays with fan-out runs.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, seed, settings
 
 from repro.cli import BACKENDS as CLI_BACKENDS
+from repro.core.basic import VelodromeBasic
 from repro.core.optimized import VelodromeOptimized
 from repro.baselines.empty import EmptyAnalysis
 from repro.events.trace import Trace
+from repro.fuzz import trace_for_seed
 from repro.pipeline import (
     AtomicSpecFilter,
     BlockFilter,
@@ -26,8 +29,10 @@ from repro.pipeline import (
     TraceSource,
     UninstrumentedLockFilter,
 )
+from repro.pipeline.source import PackedTraceSource
+from repro.store import PackedTraceReader, save_packed
 
-from tests.conftest import traces
+from tests.conftest import state_digest, traces
 
 RELAXED = settings(
     max_examples=200,
@@ -165,6 +170,143 @@ class TestSources:
         pipeline.run(TraceSource(Trace.parse(text)))
         assert backend.warning_count == 1
         assert pipeline.elapsed > 0
+
+
+# ----------------------------------------------------------- packed blocks
+#: Operations per block in the packed fixtures: small, so the 106-op
+#: seed-7 trace spans seven blocks.
+BLOCK_OPS = 16
+
+
+@pytest.fixture
+def packed(tmp_path):
+    """The seed-7 fuzz trace's operations and their packed recording."""
+    ops = list(trace_for_seed(7))
+    path = tmp_path / "t.vtrc"
+    save_packed(ops, path, block_ops=BLOCK_OPS)
+    return ops, path
+
+
+class TestPipelineBlockPath:
+    def test_block_vs_op_state_identity(self, packed):
+        ops, path = packed
+        op_backend = VelodromeOptimized()
+        op_pipeline = Pipeline([op_backend], stats=True)
+        op_pipeline.run(TraceSource(ops))
+
+        block_backend = VelodromeOptimized()
+        pipeline = Pipeline([block_backend], stats=True)
+        pipeline.run(PackedTraceSource(path))
+
+        assert state_digest(op_backend) == state_digest(block_backend)
+        metrics = pipeline.metrics()
+        assert metrics.blocks_in == -(-len(ops) // BLOCK_OPS)
+        assert metrics.events_in == metrics.events_out == len(ops)
+        assert metrics.by_kind == op_pipeline.metrics().by_kind
+
+    def test_memoized_block_path_matches_op_path(self, tmp_path):
+        # Regions span block boundaries, so the block path must hand
+        # every operation to the region assembler in stream order.
+        from repro.core.memo import RegionMemo
+
+        region = ("1:begin(m) 1:rd(x) 1:wr(x) 1:rd(y) 1:wr(y) 1:rd(z) "
+                  "1:wr(z) 1:end")
+        ops = list(Trace.parse(" ".join([region, "2:rd(x)"] * 30)))
+        path = tmp_path / "loop.vtrc"
+        save_packed(ops, path, block_ops=BLOCK_OPS)
+        runs = []
+        for source in (TraceSource(ops), PackedTraceSource(path)):
+            backend = VelodromeOptimized()
+            pipeline = Pipeline([backend], memo=RegionMemo())
+            pipeline.run(source)
+            runs.append((state_digest(backend), pipeline.memo.hits,
+                         pipeline.events_in))
+        plain = VelodromeOptimized()
+        Pipeline([plain]).run(TraceSource(ops))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == state_digest(plain)
+        assert runs[0][1] > 0
+
+    def test_decode_runs_exactly_once_per_block(self, packed, monkeypatch):
+        # Two backends share one decode, and the fan-out is called
+        # once per block.
+        _, path = packed
+        decode_block = PackedTraceReader.decode_block
+        fanout_block = FanOut.process_block
+        calls = {"decode": 0, "fanout": 0}
+
+        def counting_decode(reader, block):
+            calls["decode"] += 1
+            return decode_block(reader, block)
+
+        def counting_fanout(fanout, ops):
+            calls["fanout"] += 1
+            return fanout_block(fanout, ops)
+
+        monkeypatch.setattr(PackedTraceReader, "decode_block",
+                            counting_decode)
+        monkeypatch.setattr(FanOut, "process_block", counting_fanout)
+        pipeline = Pipeline([VelodromeBasic(), VelodromeBasic()])
+        pipeline.run(PackedTraceSource(path))
+        with PackedTraceReader(path) as reader:
+            n_blocks = len(reader.blocks)
+        assert calls == {"decode": n_blocks, "fanout": n_blocks}
+
+    def test_stats_render_has_blocks_line(self, packed):
+        _, path = packed
+        pipeline = Pipeline([VelodromeOptimized()], stats=True)
+        pipeline.run(PackedTraceSource(path))
+        rendered = pipeline.metrics().render()
+        assert f"blocks: in={pipeline.blocks_in}\n" in rendered
+
+    def test_stages_force_op_path(self, packed):
+        class Passthrough(Stage):
+            name = "passthrough"
+
+        ops, path = packed
+        pipeline = Pipeline([VelodromeOptimized()], stages=[Passthrough()])
+        pipeline.run(PackedTraceSource(path))
+        assert pipeline.blocks_in == 0
+        assert pipeline.events_in == len(ops)
+
+
+class TestPackedTraceSource:
+    def test_run_vs_run_blocks_identity(self, packed):
+        _, path = packed
+        a = VelodromeOptimized()
+        Pipeline([a]).run(PackedTraceSource(path))
+        b = VelodromeOptimized()
+        pipeline = Pipeline([b])
+        PackedTraceSource(path).run(pipeline.process)
+        pipeline.finish()
+        assert state_digest(a) == state_digest(b)
+
+    def test_start_seq_mid_block_drops_prefix(self, packed):
+        ops, path = packed
+        start = BLOCK_OPS + 5  # inside block 1
+        blocks = []
+        result = PackedTraceSource(path, start_seq=start).run_blocks(
+            blocks.append
+        )
+        assert [op for block in blocks for op in block] == ops[start:]
+        assert result.events == len(ops) - start
+        assert len(blocks[0]) == BLOCK_OPS - 5
+        assert all(len(block) == BLOCK_OPS for block in blocks[1:-1])
+
+    def test_start_seq_past_end(self, packed):
+        ops, path = packed
+        result = PackedTraceSource(path, start_seq=len(ops)).run_blocks(
+            lambda ops: pytest.fail("no blocks expected")
+        )
+        assert result.events == 0
+
+    def test_prefetch_jobs_identity(self, packed):
+        _, path = packed
+        serial = VelodromeOptimized()
+        Pipeline([serial]).run(PackedTraceSource(path, jobs=1))
+        sharded = VelodromeOptimized()
+        Pipeline([sharded]).run(PackedTraceSource(path, jobs=2))
+        assert state_digest(serial) == state_digest(sharded)
 
 
 # ------------------------------------------------------------------ fanout

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.events.operations import (
+    OpKind,
     acquire,
     begin,
     end,
@@ -32,6 +33,7 @@ from repro.store import (
     FORMAT_DSL,
     FORMAT_JSONL,
     FORMAT_PACKED,
+    HISTOGRAM_KINDS,
     PackedTraceReader,
     PackedTraceWriter,
     StoreError,
@@ -42,7 +44,9 @@ from repro.store import (
     save_packed,
     sniff_bytes,
     sniff_path,
+    summarize_ops,
 )
+from repro.store.codec import KIND_CODES
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -342,6 +346,118 @@ class TestDefaultBlockSize:
         save_packed(simple_trace(), path)
         with PackedTraceReader(path) as reader:
             assert reader.block_ops == DEFAULT_BLOCK_OPS
+
+
+class TestKindOrder:
+    """The summary histogram's slot order is the on-disk kind order."""
+
+    def test_histogram_matches_wire_codes(self):
+        for slot, kind in enumerate(HISTOGRAM_KINDS):
+            assert KIND_CODES[kind] == slot
+
+    def test_all_kinds_covered(self):
+        assert set(HISTOGRAM_KINDS) == set(OpKind)
+
+
+class TestSummarizeOps:
+    def test_histogram_and_tids(self):
+        ops = [
+            begin(1, "m"), read(1, "x", 0), write(2, "x", 1),
+            acquire(1, "l"), release(1, "l"), end(1),
+            read(3, "y", 2),
+        ]
+        s = summarize_ops(ops, first_seq=10, number=3)
+        assert s.number == 3
+        assert s.first_seq == 10
+        assert s.last_seq == 16
+        assert s.op_count == 7
+        assert s.tids == (1, 2, 3)
+        assert s.histogram == (2, 1, 1, 1, 1, 1)
+        assert s.reads == 2 and s.writes == 1
+        assert not s.foldable  # multi-tid, has begin/end
+
+    def test_footprint_first_touch_order(self):
+        ops = [read(1, "b", 0), write(1, "a", 1), acquire(1, "l")]
+        s = summarize_ops(ops, first_seq=0)
+        assert [t.name for t in s.targets] == ["b", "a", "l"]
+        assert s.variables == ("b", "a")
+        assert s.locks == ("l",)
+
+    def test_fold_machine_offsets(self):
+        # Hand-computed: release bumps k, a write jumps k back to the
+        # variable's latest in-block read, reads/acquires hold k.
+        ops = [
+            read(1, "x", 0),       # k=0, x.read_k=0
+            release(1, "m"),       # k=1
+            release(1, "m"),       # k=2
+            write(1, "x", 1),      # jumps back: k=x.read_k=0
+            write(1, "y", 2),      # first-access write: pre_k=0, k=0
+            release(1, "m"),       # k=1
+            write(1, "y", 3),      # jumps to y.write_k=0
+        ]
+        s = summarize_ops(ops, first_seq=0)
+        assert s.foldable
+        assert s.last_k == 0
+        assert s.max_k == 2
+        by_name = {t.name: t for t in s.targets}
+        x, y, m = by_name["x"], by_name["y"], by_name["m"]
+        assert x.read_k == 0 and x.write_k == 0
+        assert not x.first_access_write
+        assert y.first_access_write
+        assert y.write_pre_k == 0 and y.write_k == 0
+        assert m.release_k == 1  # last release's k
+        assert m.first_release == 1
+
+    def test_empty_block_not_foldable(self):
+        assert not summarize_ops([], first_seq=0).foldable
+
+
+def foldable_trace() -> list:
+    """One thread outside transactions: every block is foldable."""
+    ops = []
+    for i in range(64):
+        ops += [acquire(1, "m"), read(1, f"x{i % 5}", i),
+                write(1, f"x{i % 5}", i + 1), write(1, f"fresh{i}", i),
+                release(1, "m")]
+    return ops
+
+
+def mixed_trace() -> list:
+    """Two threads with a transaction: mixed summaries."""
+    ops = []
+    for i in range(40):
+        ops += [read(1, f"a{i % 3}", i), write(1, f"a{i % 3}", i)]
+    ops += [begin(2, "txn"), write(2, "shared", 1), end(2)]
+    for i in range(40):
+        ops += [acquire(1, "l"), write(1, "shared", i), release(1, "l")]
+    return ops
+
+
+class TestStoredVsReconstructed:
+    """A v2 file's stored summaries == a v1 file's lazy reconstruction."""
+
+    @pytest.mark.parametrize("make", [foldable_trace, mixed_trace])
+    def test_equal_per_block(self, tmp_path, make):
+        ops = make()
+        v1 = tmp_path / "t.v1.vtrc"
+        v2 = tmp_path / "t.v2.vtrc"
+        save_packed(ops, v1, block_ops=16, version=1)
+        save_packed(ops, v2, block_ops=16, version=2)
+        with PackedTraceReader(v1) as r1, PackedTraceReader(v2) as r2:
+            assert r1.info().version == 1
+            assert r2.info().version == 2
+            assert len(r1.blocks) == len(r2.blocks)
+            for info in r2.blocks:
+                stored = r2.block_summary(info.number)
+                lazy = r1.block_summary(info.number, reconstruct=True)
+                assert stored == lazy
+
+    def test_v1_summary_is_none_without_reconstruct(self, tmp_path):
+        path = tmp_path / "t.vtrc"
+        save_packed(foldable_trace(), path, block_ops=16, version=1)
+        with PackedTraceReader(path) as reader:
+            assert reader.block_summary(0) is None
+            assert reader.block_summary(0, reconstruct=True) is not None
 
 
 def test_cat_and_info_cli(tmp_path, capsys):

@@ -18,13 +18,17 @@ from repro.core.optimized import VelodromeOptimized
 from repro.events.trace import Trace
 from repro.fuzz import trace_for_seed
 from repro.graph.stepcode import SlotsExhausted
-from repro.pipeline.source import TraceSource
+from repro.pipeline.source import PackedTraceSource, TraceSource
 from repro.resilience import Budgets, SupervisedChecker
 from repro.resilience.snapshot import (
     SnapshotError,
     previous_snapshot_path,
     read_snapshot,
+    write_snapshot,
 )
+from repro.store import save_packed
+
+from tests.conftest import state_digest
 
 NON_SERIALIZABLE = "1:begin(m) 1:rd(x) 2:wr(x) 1:wr(x) 1:end"
 
@@ -197,6 +201,122 @@ class TestCheckpointResume:
         checker = SupervisedChecker([VelodromeBasic()])
         with pytest.raises(ValueError, match="no checkpoint path"):
             checker.checkpoint()
+
+
+class TestSupervisedBlockPath:
+    """Packed input reaches the supervisor one decoded block at a time
+    (:meth:`SupervisedChecker.process_block`); every result must match
+    the op-wise path."""
+
+    def packed(self, tmp_path, seed=7):
+        ops = list(trace_for_seed(seed))
+        path = tmp_path / "t.vtrc"
+        save_packed(ops, path, block_ops=16)
+        return ops, path
+
+    def test_block_path_state_identity(self, tmp_path):
+        ops, path = self.packed(tmp_path)
+        op_checker = SupervisedChecker([VelodromeOptimized()])
+        op_checker.run(TraceSource(ops))
+        block_checker = SupervisedChecker([VelodromeOptimized()])
+        block_checker.run(PackedTraceSource(path))
+        assert op_checker.position == block_checker.position == len(ops)
+        assert (
+            state_digest(op_checker.backends[0])
+            == state_digest(block_checker.backends[0])
+        )
+
+    def test_memoized_block_path_matches_op_path(self, tmp_path):
+        from repro.core.memo import RegionMemo
+
+        region = ("1:begin(m) 1:rd(x) 1:wr(x) 1:rd(y) 1:wr(y) 1:rd(z) "
+                  "1:wr(z) 1:end")
+        ops = list(Trace.parse(" ".join([region, "2:rd(x)"] * 30)))
+        path = tmp_path / "loop.vtrc"
+        save_packed(ops, path, block_ops=16)
+        runs = []
+        for source in (TraceSource(ops), PackedTraceSource(path)):
+            memo = RegionMemo()
+            checker = SupervisedChecker([VelodromeOptimized()], memo=memo)
+            checker.run(source)
+            runs.append((state_digest(checker.backends[0]), memo.hits,
+                         checker.position))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0 and runs[0][2] == len(ops)
+
+    def test_block_path_recovers_from_exhaustion(self, tmp_path):
+        # Recovery replays whole buffered blocks from the boundary.
+        ops, path = self.packed(tmp_path, seed=5)
+        op_checker = SupervisedChecker([tiny_compact()], recovery_window=16)
+        op_checker.run(TraceSource(ops))
+        block_checker = SupervisedChecker(
+            [tiny_compact()], recovery_window=16
+        )
+        block_checker.run(PackedTraceSource(path))
+        assert block_checker.position == len(ops)
+        assert block_checker.report().recoveries > 0
+        assert (
+            fingerprint(block_checker.backends[0])
+            == fingerprint(op_checker.backends[0])
+        )
+
+    def test_resume_mid_trace(self, tmp_path):
+        ops, path = self.packed(tmp_path)
+        ckpt = tmp_path / "ckpt.json"
+        uninterrupted = SupervisedChecker([VelodromeOptimized()])
+        uninterrupted.run(PackedTraceSource(path))
+
+        first = SupervisedChecker(
+            [VelodromeOptimized()], checkpoint_every=40,
+            checkpoint_path=ckpt,
+        )
+        first.run(PackedTraceSource(path))
+        # Rewind to the last periodic checkpoint and continue there.
+        resumed = SupervisedChecker.resume(ckpt)
+        assert 0 < resumed.position < len(ops)
+        resumed.run(PackedTraceSource(path, start_seq=resumed.position))
+        assert (
+            state_digest(uninterrupted.backends[0])
+            == state_digest(resumed.backends[0])
+        )
+
+    def test_checkpoint_with_legacy_fast_forward_meta_resumes(
+        self, tmp_path, capsys
+    ):
+        # Checkpoints written while packed blocks could still be
+        # skipped from their summaries carry the skipped spans in
+        # ``fast_forwarded_blocks``; they must still resume.
+        from repro.cli import main
+        from repro.serve.stream import packed_checkpoint_meta
+
+        ops, path = self.packed(tmp_path)
+        ckpt = tmp_path / "ckpt.json"
+        backend = VelodromeOptimized()
+        for op in ops[:48]:
+            backend.process(op)
+        meta = packed_checkpoint_meta(path)(48)
+        meta["fast_forwarded_blocks"] = [[0, 15], [32, 47]]
+        write_snapshot(ckpt, [backend], 48, meta=meta)
+        assert read_snapshot(ckpt).meta["fast_forwarded_blocks"]
+
+        uninterrupted = SupervisedChecker([VelodromeOptimized()])
+        uninterrupted.run(PackedTraceSource(path))
+        resumed = SupervisedChecker.resume(ckpt)
+        resumed.run(PackedTraceSource(path, start_seq=resumed.position))
+        assert (
+            state_digest(uninterrupted.backends[0])
+            == state_digest(resumed.backends[0])
+        )
+
+        code_plain = main(["check", str(path)])
+        plain = capsys.readouterr().out
+        code_resumed = main(["check", str(path), "--resume", str(ckpt)])
+        resumed_out = capsys.readouterr().out
+        assert code_resumed == code_plain
+        assert "resumed 1 backend(s) at event 48" in resumed_out
+        assert code_plain == 1
+        for line in plain.splitlines():
+            assert line in resumed_out
 
 
 class TestReport:
